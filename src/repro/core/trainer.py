@@ -12,11 +12,17 @@ A single optimizer covers all unique parameters; each alternating step only
 touches the parameters reachable from its loss graph (parameters without
 gradients are skipped), so the alternation matches the paper's two-step
 updates.
+
+``_BaseTrainer`` owns the epoch loop once.  Each trainer supplies only an
+ordered tuple of ``(path, loss)`` steps run on every batch and a
+validation callable; both algorithms share one alternation
+(:func:`_alternating_steps`) and differ only in their task loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +30,7 @@ import numpy as np
 from repro.core.atnn import ATNN
 from repro.core.multitask import MultiTaskATNN
 from repro.core.two_tower import TwoTowerModel
-from repro.data.dataset import InteractionDataset
+from repro.data.dataset import Batch, InteractionDataset
 from repro.metrics.auc import roc_auc
 from repro.nn.losses import (
     binary_cross_entropy,
@@ -42,46 +48,13 @@ __all__ = [
     "TwoTowerTrainer",
     "ATNNTrainer",
     "MultiTaskTrainer",
-    "set_trainer_defaults",
-    "get_trainer_defaults",
 ]
 
 
-# Ambient trainer defaults: process-wide knobs (CLI flags, experiment
-# presets) consulted when a trainer is constructed without explicit
-# values.  Experiments construct their trainers internally, so this is
-# how ``--fuse`` / ``--n-workers`` reach them without threading new
-# arguments through every registry entry.
-_TRAINER_DEFAULTS: Dict[str, object] = {
-    "fuse": False,
-    "n_workers": 0,
-    "start_method": None,
-    "worker_spool_dir": None,
-}
-
-
-def set_trainer_defaults(**overrides) -> Dict[str, object]:
-    """Update the ambient trainer defaults; returns the previous values.
-
-    Recognised keys: ``fuse`` (apply the kernel-fusion pass to models at
-    fit time), ``n_workers`` (0 = in-process training, N >= 1 = a
-    data-parallel worker pool of N processes), ``start_method`` and
-    ``worker_spool_dir`` (see :class:`repro.nn.parallel.WorkerPool`).
-    """
-    unknown = sorted(set(overrides) - set(_TRAINER_DEFAULTS))
-    if unknown:
-        raise KeyError(
-            f"unknown trainer defaults {unknown}; "
-            f"expected keys from {sorted(_TRAINER_DEFAULTS)}"
-        )
-    previous = {key: _TRAINER_DEFAULTS[key] for key in overrides}
-    _TRAINER_DEFAULTS.update(overrides)
-    return previous
-
-
-def get_trainer_defaults() -> Dict[str, object]:
-    """A copy of the ambient trainer defaults."""
-    return dict(_TRAINER_DEFAULTS)
+# One optimisation step of a trainer: ``loss(model, batch)`` returns the
+# tensor to minimise and the named loss terms logged for that step.
+StepLoss = Callable[[object, Batch], Tuple[Tensor, Dict[str, Tensor]]]
+Validate = Callable[[object, Dict[str, float]], None]
 
 
 @dataclass(frozen=True)
@@ -200,31 +173,11 @@ class _BaseTrainer:
         early_stopping: Optional[EarlyStopping] = None,
         callbacks: Optional[Sequence[TrainerCallback]] = None,
         dtype=None,
-        fuse: Optional[bool] = None,
-        n_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        worker_spool_dir=None,
     ) -> None:
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        # None means "use the ambient default" (set_trainer_defaults).
-        defaults = _TRAINER_DEFAULTS
-        self.fuse = bool(defaults["fuse"] if fuse is None else fuse)
-        self.n_workers = int(
-            defaults["n_workers"] if n_workers is None else n_workers  # type: ignore[arg-type]
-        )
-        if self.n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
-        self.start_method = (
-            defaults["start_method"] if start_method is None else start_method
-        )
-        self.worker_spool_dir = (
-            defaults["worker_spool_dir"]
-            if worker_spool_dir is None
-            else worker_spool_dir
-        )
         self.epochs = epochs
         self.batch_size = batch_size
         self.lr = lr
@@ -248,23 +201,10 @@ class _BaseTrainer:
     # Telemetry plumbing
     # ------------------------------------------------------------------
     def _begin_fit(self, model) -> None:
-        """Resolve callbacks, and enter the configured compute dtype.
-
-        When ``fuse`` is enabled the kernel-fusion pass rewrites the
-        model in place here (after any dtype change), so registry models
-        pick up the fused Linear→ReLU / cross-layer kernels without
-        model-code changes; the report lands on ``self.fusion_report``.
-        """
+        """Resolve callbacks, and enter the configured compute dtype."""
         if self.dtype is not None:
             self._previous_dtype = set_default_dtype(self.dtype)
             model.to_dtype(self.dtype)
-        self.fusion_report = None
-        if self.fuse:
-            from repro.nn.fusion import fuse
-
-            self.fusion_report = fuse(model)
-            if self.verbose:
-                print(self.fusion_report.to_text())
         self._active_callbacks = tuple(self.callbacks) + global_callbacks()
         self._parameter_groups = []
         if self._active_callbacks:
@@ -390,87 +330,79 @@ class _BaseTrainer:
             model.load_state_dict(self._best_state)
 
     # ------------------------------------------------------------------
-    # Multi-process data-parallel fit (n_workers >= 1)
+    # The epoch loop
     # ------------------------------------------------------------------
-    def _fit_parallel(
+    def _fit(
         self,
         model,
         train: InteractionDataset,
-        program,
-        validate: Optional[Callable[[object, Dict[str, float]], None]] = None,
+        steps: Sequence[Tuple[str, StepLoss]],
+        validate: Optional[Validate] = None,
     ) -> TrainingHistory:
-        """Generic epoch loop over a :class:`repro.nn.parallel.WorkerPool`.
+        """Run every ``(path, loss)`` step, in order, on each batch.
 
-        Workers compute per-shard gradients for each of ``program``'s
-        paths; this parent merges them, clips, and applies the optimizer
-        step to the shared parameter slab — so alternation semantics
-        (the generator path seeing the encoder-path update) are
-        preserved exactly.  ``validate`` receives ``(model, record)``
-        after each epoch to append validation metrics.
+        An epoch's record holds the mean of each logged loss term, in
+        order of first appearance; ``validate(model, record)`` then adds
+        the held-out metrics.  Early stopping and best-state restore
+        follow :attr:`early_stopping`.
         """
-        from repro.nn.parallel import WorkerPool
-
+        rng = np.random.default_rng(self.seed)
         history = TrainingHistory()
         self._begin_fit(model)
         try:
             optimizer = Adam(model.parameters(), lr=self.lr)
             model.train()
-            pool = WorkerPool(
-                model,
-                program,
-                train,
-                n_workers=self.n_workers,
-                batch_size=self.batch_size,
-                seed=self.seed,
-                start_method=self.start_method,
-                spool_dir=self.worker_spool_dir,
-            )
-            try:
-                for epoch in range(self.epochs):
-                    accumulated: Dict[str, List[float]] = {}
-                    pool.begin_epoch()
-                    with maybe_span("train.epoch"):
-                        for _ in range(pool.steps_per_epoch):
-                            for position, path in enumerate(program.paths()):
-                                # zero_grad first: it also recycles the
-                                # arena generation the previous step's
-                                # optimizer scratch came from.
-                                optimizer.zero_grad()
-                                value, logs = pool.step(
-                                    path, advance=(position == 0)
-                                )
-                                if not np.isfinite(value):
-                                    raise RuntimeError(
-                                        f"training diverged: loss is {value!r} "
-                                        f"at optimizer step {optimizer.step_count}"
-                                        f" on path {path!r}; lower the learning "
-                                        "rate or enable gradient clipping"
-                                    )
-                                if self.grad_clip is not None:
-                                    Optimizer.clip_gradients(
-                                        optimizer.parameters, self.grad_clip
-                                    )
-                                optimizer.step()
-                                for key, logged in logs.items():
-                                    accumulated.setdefault(key, []).append(logged)
-                                self._on_batch(optimizer, path, logs)
-                    record = {
-                        key: float(np.mean(values))
-                        for key, values in accumulated.items()
-                    }
-                    if validate is not None:
-                        validate(model, record)
-                        model.train()
-                    self._finish_epoch(epoch, record, history)
-                    if self._check_early_stop(record, model):
-                        break
-                self._maybe_restore_best(model)
-                model.eval()
-            finally:
-                pool.close()
+            for epoch in range(self.epochs):
+                logged: Dict[str, List[float]] = {}
+                with maybe_span("train.epoch"):
+                    for batch in train.iter_batches(self.batch_size, rng=rng):
+                        for path, step_loss in steps:
+                            loss, terms = step_loss(model, batch)
+                            self._step(optimizer, loss)
+                            values = {key: term.item() for key, term in terms.items()}
+                            for key, value in values.items():
+                                logged.setdefault(key, []).append(value)
+                            self._on_batch(optimizer, path, values)
+                record = {key: float(np.mean(values)) for key, values in logged.items()}
+                if validate is not None:
+                    validate(model, record)
+                    model.train()
+                self._finish_epoch(epoch, record, history)
+                if self._check_early_stop(record, model):
+                    break
+            self._maybe_restore_best(model)
+            model.eval()
         finally:
             self._end_fit(history)
         return history
+
+
+def _alternating_steps(
+    task_loss: Callable[[object, Batch, Tensor], Tensor],
+    encoder_key: str,
+    lambda_similarity: float,
+) -> Tuple[Tuple[str, StepLoss], Tuple[str, StepLoss]]:
+    """The paper's alternation, shared by Algorithms 1 and 2.
+
+    Step 1 minimises ``task_loss`` on the encoder's item vectors.  Step 2
+    minimises the same ``task_loss`` on the generator's item vectors plus
+    ``lambda_similarity * L_s`` against the (detached) encoder vectors.
+    """
+
+    def encoder_step(model, batch: Batch):
+        loss = task_loss(model, batch, model.encoded_item_vectors(batch.features))
+        return loss, {encoder_key: loss}
+
+    def generator_step(model, batch: Batch):
+        with no_grad():
+            encoder_targets = model.encoded_item_vectors(batch.features)
+        generated = model.generated_item_vectors(batch.features)
+        loss_g = task_loss(model, batch, generated)
+        loss_s = similarity_loss(generated, Tensor(encoder_targets.data))
+        combined = loss_g + lambda_similarity * loss_s
+        return combined, {"loss_g": loss_g, "loss_s": loss_s}
+
+    return (("encoder", encoder_step), ("generator", generator_step))
 
 
 class TwoTowerTrainer(_BaseTrainer):
@@ -497,52 +429,28 @@ class TwoTowerTrainer(_BaseTrainer):
         label:
             Which label column carries the click target.
         """
-        if self.n_workers:
-            from repro.nn.parallel import TwoTowerStepProgram
 
-            def validate(model, record):
-                if valid is None:
-                    return
-                valid_labels = valid.label(label)
-                valid_scores = model.predict_proba(valid.features)
-                record["valid_auc"] = roc_auc(valid_labels, valid_scores)
-                self._emit_validation_scores("encoder", valid_labels, valid_scores)
+        def ctr_step(model, batch: Batch):
+            loss = binary_cross_entropy(model(batch.features), batch.label(label))
+            return loss, {"loss": loss}
 
-            return self._fit_parallel(
-                model, train, TwoTowerStepProgram(label), validate
-            )
-        rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            for epoch in range(self.epochs):
-                losses: List[float] = []
-                with maybe_span("train.epoch"):
-                    for batch in train.iter_batches(self.batch_size, rng=rng):
-                        probabilities = model(batch.features)
-                        loss = binary_cross_entropy(probabilities, batch.label(label))
-                        value = self._step(optimizer, loss)
-                        losses.append(value)
-                        self._on_batch(optimizer, "encoder", {"loss": value})
-                record = {"loss": float(np.mean(losses))}
-                if valid is not None:
-                    valid_labels = valid.label(label)
-                    valid_scores = model.predict_proba(valid.features)
-                    record["valid_auc"] = roc_auc(valid_labels, valid_scores)
-                    self._emit_validation_scores(
-                        "encoder", valid_labels, valid_scores
-                    )
-                    model.train()
-                self._finish_epoch(epoch, record, history)
-                if self._check_early_stop(record, model):
-                    break
-            self._maybe_restore_best(model)
-            model.eval()
-        finally:
-            self._end_fit(history)
-        return history
+        validate = (
+            None if valid is None else partial(self._validate, valid=valid, label=label)
+        )
+        return self._fit(model, train, (("encoder", ctr_step),), validate)
+
+    def _validate(
+        self,
+        model: TwoTowerModel,
+        record: Dict[str, float],
+        valid: InteractionDataset,
+        label: str,
+    ) -> None:
+        """Record the encoder path's validation AUC."""
+        valid_labels = valid.label(label)
+        valid_scores = model.predict_proba(valid.features)
+        record["valid_auc"] = roc_auc(valid_labels, valid_scores)
+        self._emit_validation_scores("encoder", valid_labels, valid_scores)
 
 
 class ATNNTrainer(_BaseTrainer):
@@ -576,111 +484,35 @@ class ATNNTrainer(_BaseTrainer):
         (``valid_auc_encoder``) and the cold-start generator-path AUC
         (``valid_auc_generator``) are recorded each epoch.
         """
-        if self.n_workers:
-            from repro.nn.parallel import ATNNStepProgram
 
-            def validate(model, record):
-                if valid is None:
-                    return
-                valid_labels = valid.label(label)
-                encoder_scores = model.predict_proba(valid.features)
-                generator_scores = model.predict_proba_cold_start(valid.features)
-                record["valid_auc_encoder"] = roc_auc(valid_labels, encoder_scores)
-                record["valid_auc_generator"] = roc_auc(
-                    valid_labels, generator_scores
-                )
-                self._emit_validation_scores(
-                    "encoder", valid_labels, encoder_scores
-                )
-                self._emit_validation_scores(
-                    "generator", valid_labels, generator_scores
-                )
-
-            return self._fit_parallel(
-                model,
-                train,
-                ATNNStepProgram(label, self.lambda_similarity),
-                validate,
+        def ctr_loss(model: ATNN, batch: Batch, item_vectors: Tensor) -> Tensor:
+            # L_i over encoded item vectors, L_g over generated ones.
+            probabilities = model.scoring_head(
+                item_vectors, model.user_vectors(batch.features)
             )
-        rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            for epoch in range(self.epochs):
-                losses_i: List[float] = []
-                losses_g: List[float] = []
-                losses_s: List[float] = []
-                with maybe_span("train.epoch"):
-                    for batch in train.iter_batches(self.batch_size, rng=rng):
-                        targets = batch.label(label)
+            return binary_cross_entropy(probabilities, batch.label(label))
 
-                        # Step 1 — optimise the encoder path on L_i.
-                        probabilities = model(batch.features)
-                        loss_i = binary_cross_entropy(probabilities, targets)
-                        value_i = self._step(optimizer, loss_i)
-                        losses_i.append(value_i)
-                        self._on_batch(optimizer, "encoder", {"loss_i": value_i})
+        steps = _alternating_steps(ctr_loss, "loss_i", self.lambda_similarity)
+        validate = (
+            None if valid is None else partial(self._validate, valid=valid, label=label)
+        )
+        return self._fit(model, train, steps, validate)
 
-                        # Step 2 — optimise the generator path on L_g + lambda*L_s.
-                        with no_grad():
-                            encoder_targets = model.encoded_item_vectors(
-                                batch.features
-                            )
-                        generated = model.generated_item_vectors(batch.features)
-                        user_vectors = model.user_vectors(batch.features)
-                        generator_probabilities = model.scoring_head(
-                            generated, user_vectors
-                        )
-                        loss_g = binary_cross_entropy(
-                            generator_probabilities, targets
-                        )
-                        loss_s = similarity_loss(
-                            generated, Tensor(encoder_targets.data)
-                        )
-                        combined = loss_g + self.lambda_similarity * loss_s
-                        self._step(optimizer, combined)
-                        losses_g.append(loss_g.item())
-                        losses_s.append(loss_s.item())
-                        self._on_batch(
-                            optimizer,
-                            "generator",
-                            {"loss_g": losses_g[-1], "loss_s": losses_s[-1]},
-                        )
-
-                record = {
-                    "loss_i": float(np.mean(losses_i)),
-                    "loss_g": float(np.mean(losses_g)),
-                    "loss_s": float(np.mean(losses_s)),
-                }
-                if valid is not None:
-                    valid_labels = valid.label(label)
-                    encoder_scores = model.predict_proba(valid.features)
-                    generator_scores = model.predict_proba_cold_start(
-                        valid.features
-                    )
-                    record["valid_auc_encoder"] = roc_auc(
-                        valid_labels, encoder_scores
-                    )
-                    record["valid_auc_generator"] = roc_auc(
-                        valid_labels, generator_scores
-                    )
-                    self._emit_validation_scores(
-                        "encoder", valid_labels, encoder_scores
-                    )
-                    self._emit_validation_scores(
-                        "generator", valid_labels, generator_scores
-                    )
-                    model.train()
-                self._finish_epoch(epoch, record, history)
-                if self._check_early_stop(record, model):
-                    break
-            self._maybe_restore_best(model)
-            model.eval()
-        finally:
-            self._end_fit(history)
-        return history
+    def _validate(
+        self,
+        model: ATNN,
+        record: Dict[str, float],
+        valid: InteractionDataset,
+        label: str,
+    ) -> None:
+        """Record the encoder-path and cold-start generator-path AUCs."""
+        valid_labels = valid.label(label)
+        encoder_scores = model.predict_proba(valid.features)
+        generator_scores = model.predict_proba_cold_start(valid.features)
+        record["valid_auc_encoder"] = roc_auc(valid_labels, encoder_scores)
+        record["valid_auc_generator"] = roc_auc(valid_labels, generator_scores)
+        self._emit_validation_scores("encoder", valid_labels, encoder_scores)
+        self._emit_validation_scores("generator", valid_labels, generator_scores)
 
 
 class MultiTaskTrainer(_BaseTrainer):
@@ -713,23 +545,15 @@ class MultiTaskTrainer(_BaseTrainer):
         self.adversarial = adversarial
 
     def _task_loss(
-        self,
-        model: MultiTaskATNN,
-        batch_features: Dict[str, np.ndarray],
-        gmv_targets: np.ndarray,
-        vppv_targets: np.ndarray,
-        use_generator: bool,
+        self, model: MultiTaskATNN, batch: Batch, item_vectors: Tensor
     ) -> Tensor:
-        if use_generator:
-            item_vectors = model.generated_item_vectors(batch_features)
-        else:
-            item_vectors = model.encoded_item_vectors(batch_features)
-        group_vectors = model.group_vectors(batch_features)
+        """``L^GMV + lambda_1 * L^VpPV`` of the two heads over ``item_vectors``."""
+        group_vectors = model.group_vectors(batch.features)
         gmv_prediction = model.gmv_head(item_vectors, group_vectors)
         vppv_prediction = model.vppv_head(item_vectors, group_vectors)
         return mean_squared_error(
-            gmv_prediction, gmv_targets
-        ) + self.lambda_vppv * mean_squared_error(vppv_prediction, vppv_targets)
+            gmv_prediction, batch.label("gmv")
+        ) + self.lambda_vppv * mean_squared_error(vppv_prediction, batch.label("vppv"))
 
     def fit(
         self,
@@ -742,98 +566,23 @@ class MultiTaskTrainer(_BaseTrainer):
         # structure rather than climbing the output offset.
         model.gmv_head.set_output_bias(float(train.label("gmv").mean()))
         model.vppv_head.set_output_bias(float(train.label("vppv").mean()))
-        if self.n_workers:
-            from repro.nn.parallel import MultiTaskStepProgram
+        steps = _alternating_steps(self._task_loss, "loss_r", self.lambda_similarity)
+        if not self.adversarial:
+            steps = steps[:1]
 
-            def validate(model, record):
-                if valid is None:
-                    return
-                for task in MultiTaskATNN.TASKS:
-                    predictions = model.predict(
-                        valid.features, task, cold_start=self.adversarial
-                    )
-                    errors = np.abs(predictions - valid.label(task))
-                    record[f"valid_mae_{task}"] = float(errors.mean())
+        validate = None if valid is None else partial(self._validate, valid=valid)
+        return self._fit(model, train, steps, validate)
 
-            return self._fit_parallel(
-                model,
-                train,
-                MultiTaskStepProgram(
-                    self.lambda_vppv, self.lambda_similarity, self.adversarial
-                ),
-                validate,
+    def _validate(
+        self,
+        model: MultiTaskATNN,
+        record: Dict[str, float],
+        valid: InteractionDataset,
+    ) -> None:
+        """Record each task's validation MAE on the serving path."""
+        for task in MultiTaskATNN.TASKS:
+            predictions = model.predict(
+                valid.features, task, cold_start=self.adversarial
             )
-        rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            for epoch in range(self.epochs):
-                losses_r: List[float] = []
-                losses_g: List[float] = []
-                losses_s: List[float] = []
-                with maybe_span("train.epoch"):
-                    for batch in train.iter_batches(self.batch_size, rng=rng):
-                        gmv_targets = batch.label("gmv")
-                        vppv_targets = batch.label("vppv")
-
-                        # Step 1 — encoder path: L_r^GMV + lambda_1 * L_r^VpPV.
-                        loss_r = self._task_loss(
-                            model, batch.features, gmv_targets, vppv_targets, False
-                        )
-                        value_r = self._step(optimizer, loss_r)
-                        losses_r.append(value_r)
-                        self._on_batch(optimizer, "encoder", {"loss_r": value_r})
-
-                        if not self.adversarial:
-                            continue
-
-                        # Step 2 — generator path plus similarity distillation.
-                        with no_grad():
-                            encoder_targets = model.encoded_item_vectors(
-                                batch.features
-                            )
-                        generated = model.generated_item_vectors(batch.features)
-                        group_vectors = model.group_vectors(batch.features)
-                        gmv_prediction = model.gmv_head(generated, group_vectors)
-                        vppv_prediction = model.vppv_head(generated, group_vectors)
-                        loss_g = mean_squared_error(
-                            gmv_prediction, gmv_targets
-                        ) + self.lambda_vppv * mean_squared_error(
-                            vppv_prediction, vppv_targets
-                        )
-                        loss_s = similarity_loss(
-                            generated, Tensor(encoder_targets.data)
-                        )
-                        combined = loss_g + self.lambda_similarity * loss_s
-                        self._step(optimizer, combined)
-                        losses_g.append(loss_g.item())
-                        losses_s.append(loss_s.item())
-                        self._on_batch(
-                            optimizer,
-                            "generator",
-                            {"loss_g": losses_g[-1], "loss_s": losses_s[-1]},
-                        )
-
-                record: Dict[str, float] = {"loss_r": float(np.mean(losses_r))}
-                if losses_g:
-                    record["loss_g"] = float(np.mean(losses_g))
-                    record["loss_s"] = float(np.mean(losses_s))
-                if valid is not None:
-                    for task in MultiTaskATNN.TASKS:
-                        cold = self.adversarial
-                        predictions = model.predict(
-                            valid.features, task, cold_start=cold
-                        )
-                        errors = np.abs(predictions - valid.label(task))
-                        record[f"valid_mae_{task}"] = float(errors.mean())
-                    model.train()
-                self._finish_epoch(epoch, record, history)
-                if self._check_early_stop(record, model):
-                    break
-            self._maybe_restore_best(model)
-            model.eval()
-        finally:
-            self._end_fit(history)
-        return history
+            errors = np.abs(predictions - valid.label(task))
+            record[f"valid_mae_{task}"] = float(errors.mean())

@@ -131,7 +131,7 @@ class TelemetryShipper:
         self._slo = slo
         self._tracer = tracer
         self._seq = 0
-        self._last_flush = 0.0  # monotonic; 0 → never flushed
+        self._last_flush: Optional[float] = None  # monotonic; None → never flushed
 
     # ------------------------------------------------------------------
     def _sources(
@@ -202,7 +202,7 @@ class TelemetryShipper:
         """Flush when the interval elapsed; returns whether it did."""
         if now is None:
             now = time.monotonic()
-        if now - self._last_flush < self.interval_seconds:
+        if self._last_flush is not None and now - self._last_flush < self.interval_seconds:
             return False
         self.flush()
         return True

@@ -244,6 +244,8 @@ class IVFIndex(MIPSIndex):
             self._partition_all(
                 vectors, np.arange(vectors.shape[0], dtype=np.int64)
             )
+        # A fresh build starts the repartition cooldown, as a repartition does.
+        self._repartitioned_at = self._ntotal
 
     def _partition_all(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """Lay out ``vectors`` (keyed by ``ids``) under the current quantizer."""

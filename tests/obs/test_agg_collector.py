@@ -100,6 +100,22 @@ class TestShipper:
         assert shipper.maybe_flush() is False  # interval not yet elapsed
         assert shipper.maybe_flush(time.monotonic() + 7200.0) is True
 
+    def test_first_maybe_flush_ships_on_a_freshly_booted_host(
+        self, tmp_path, monkeypatch
+    ):
+        """A monotonic clock only 5 s past boot is still a first flush."""
+        monkeypatch.setattr(time, "monotonic", lambda: 5.0)
+        shipper = TelemetryShipper(
+            tmp_path,
+            process_label="w",
+            registry=MetricsRegistry(),
+            interval_seconds=3600.0,
+        )
+        assert shipper.maybe_flush() is True
+        lines = [json.loads(line) for line in shipper.spool_path.read_text().splitlines()]
+        assert [line["seq"] for line in lines if line["type"] == "frame"] == [1]
+        assert shipper.maybe_flush() is False
+
     def test_rejects_nonpositive_interval(self, tmp_path):
         with pytest.raises(ValueError):
             TelemetryShipper(tmp_path, interval_seconds=0.0)

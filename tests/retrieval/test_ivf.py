@@ -181,6 +181,17 @@ class TestRepartition:
                 brute.search(q[row], 15)[0]
             )
 
+    def test_build_starts_the_repartition_cooldown(self, rng):
+        """Inserts under 10% of a fresh build never repartition, however
+        skewed: the build itself is the last (re)partitioning."""
+        ivf = IVFIndex(
+            2, nlist=32, nprobe=32, imbalance_factor=2.0, train_floor=16, seed=0
+        )
+        ivf.rebuild(rng.normal(size=(400, 2)))
+        ivf.add(0.01 * rng.normal(size=(39, 2)) + 50.0)
+        assert ivf.imbalance() > 2.0
+        assert ivf.repartitions == 0
+
     def test_disabled_maintenance_never_repartitions(self, rng):
         ivf = IVFIndex(
             2, nlist=8, nprobe=8, imbalance_factor=None, train_floor=16, seed=0
