@@ -116,7 +116,9 @@ class Module:
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         """Set training mode recursively (affects dropout etc.)."""
-        self.training = mode
+        # Straight into the instance dict: the flag is never a parameter or
+        # a module, so the registering ``__setattr__`` has nothing to do.
+        self.__dict__["training"] = mode
         for child in self._modules.values():
             child.train(mode)
         return self

@@ -29,11 +29,9 @@ import numpy as np
 from repro.nn.tensor import get_default_dtype
 from repro.obs.metrics import get_active_registry
 from repro.obs.tracing import maybe_span
+from repro.utils.growth import reserve
 
 __all__ = ["MIPSIndex", "BruteForceIndex", "recall_at_k"]
-
-# Freshly allocated index storage starts at this capacity and doubles.
-_MIN_CAPACITY = 64
 
 
 class MIPSIndex:
@@ -121,13 +119,6 @@ class MIPSIndex:
         return ids
 
 
-def _grown_capacity(current: int, needed: int) -> int:
-    capacity = max(current, _MIN_CAPACITY)
-    while capacity < needed:
-        capacity *= 2
-    return capacity
-
-
 def _top_k_desc(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries of a 1-D array, best first."""
     if k >= scores.size:
@@ -161,24 +152,13 @@ class BruteForceIndex(MIPSIndex):
         view.flags.writeable = False
         return view
 
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        if needed <= self._matrix.shape[0]:
-            return
-        grown = np.empty(
-            (_grown_capacity(self._matrix.shape[0], needed), self.dim),
-            dtype=self.dtype,
-        )
-        grown[: self._size] = self._matrix[: self._size]
-        self._matrix = grown
-
     def add(self, vectors: np.ndarray) -> np.ndarray:
         vectors = self._coerce_vectors(vectors)
         with maybe_span("index.insert"):
-            self._reserve(vectors.shape[0])
-            start = self._size
-            self._matrix[start : start + vectors.shape[0]] = vectors
-            self._size += vectors.shape[0]
+            start, stop = self._size, self._size + vectors.shape[0]
+            self._matrix = reserve(self._matrix, start, stop)
+            self._matrix[start:stop] = vectors
+            self._size = stop
         registry = get_active_registry()
         if registry is not None:
             registry.counter("index.inserts").inc(vectors.shape[0])

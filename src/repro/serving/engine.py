@@ -36,6 +36,7 @@ from repro.obs.tracing import maybe_span
 from repro.retrieval import MIPSIndex, make_index
 from repro.serving.events import Event, event_columns
 from repro.serving.feature_store import ItemStatisticsStore
+from repro.utils.growth import RowBuffer
 
 __all__ = ["EngineConfig", "RealTimeEngine"]
 
@@ -111,11 +112,20 @@ class RealTimeEngine:
         self.store = ItemStatisticsStore(len(catalogue))
         self.predictor = PopularityPredictor(model, batch_size=config.batch_size)
         self.predictor.fit_user_group(user_group)
-        self._scores: Optional[np.ndarray] = None
-        self._item_vectors: Optional[np.ndarray] = None
+        # Everything kept per catalogue slot grows in place as arrivals
+        # come in: each catalogue column and the vectors and scores live in
+        # capacity-doubling row buffers, and ``catalogue`` is a table of
+        # their live views.  Catalogue rows are never rewritten and scores
+        # are copied before a refresh rewrites them, so arrays handed out
+        # earlier never change.
+        self._columns = {
+            name: RowBuffer(column) for name, column in catalogue.columns.items()
+        }
+        self._score_rows: Optional[RowBuffer] = None
+        self._item_rows: Optional[RowBuffer] = None
         # Generator-path vectors depend only on the (static) catalogue
         # profiles, so they are computed once and reused by every refresh.
-        self._generator_vectors: Optional[np.ndarray] = None
+        self._generator_rows: Optional[RowBuffer] = None
         self._fresh = False
         self._dirty: set = set()
         # Cached top-k order: the best `_order_k` slots from the MIPS
@@ -162,6 +172,18 @@ class RealTimeEngine:
             return applied
 
     @property
+    def _scores(self) -> Optional[np.ndarray]:
+        return None if self._score_rows is None else self._score_rows.rows
+
+    @property
+    def _item_vectors(self) -> Optional[np.ndarray]:
+        return None if self._item_rows is None else self._item_rows.rows
+
+    @property
+    def _generator_vectors(self) -> Optional[np.ndarray]:
+        return None if self._generator_rows is None else self._generator_rows.rows
+
+    @property
     def events_seen(self) -> int:
         """Total events ingested."""
         return self._events_seen
@@ -180,15 +202,15 @@ class RealTimeEngine:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _profile_features(self, slots: np.ndarray) -> Dict[str, np.ndarray]:
+    def _profile_features(self, slots=slice(None)) -> Dict[str, np.ndarray]:
         names = self.model.schema.all_column_names(GROUP_ITEM_PROFILE)
         return {name: self.catalogue[name][slots] for name in names}
 
-    def _generator_vectors_for(self, slots: np.ndarray) -> np.ndarray:
-        """Generator-path vectors for ``slots`` (profiles + zero stats)."""
-        features = self._profile_features(slots)
+    def _generator_vectors_for(self, features: Dict[str, np.ndarray]) -> np.ndarray:
+        """Generator-path vectors for item profiles (+ zero stats)."""
+        n_items = len(next(iter(features.values())))
         for name in self.model.schema.numeric_names(GROUP_ITEM_STAT):
-            features[name] = np.zeros(slots.size)
+            features[name] = np.zeros(n_items)
         was_training = self.model.training
         self.model.eval()
         try:
@@ -246,7 +268,7 @@ class RealTimeEngine:
     def _refresh(self, ctx, full: bool) -> np.ndarray:
         start = time.perf_counter()
         n = len(self.catalogue)
-        full = full or self._generator_vectors is None
+        full = full or self._generator_rows is None
 
         was_training = self.model.training
         self.model.eval()
@@ -255,10 +277,11 @@ class RealTimeEngine:
                 warm = self.store.warm_slots(self.config.warm_view_threshold)
                 if full:
                     # Statistic columns default to zero (cold) ...
-                    self._generator_vectors = self._generator_vectors_for(
-                        np.arange(n)
+                    generator = self._generator_vectors_for(
+                        self._profile_features()
                     )
-                    item_vectors = self._generator_vectors.copy()
+                    self._generator_rows = RowBuffer(generator)
+                    items = RowBuffer(generator.copy())
                     stale = warm
                 else:
                     warm_mask = np.zeros(n, dtype=bool)
@@ -267,16 +290,13 @@ class RealTimeEngine:
                         sorted(s for s in self._dirty if warm_mask[s]),
                         dtype=np.int64,
                     )
-                    # Copy-on-write: callers hold arrays returned by
-                    # earlier scores() calls, which must not change.
-                    item_vectors = (
-                        self._item_vectors.copy()
-                        if stale.size
-                        else self._item_vectors
-                    )
+                    items = self._item_rows
+                item_vectors = items.rows
                 if stale.size:
                     # ... and stale warm slots get live statistics +
-                    # encoder vectors.
+                    # encoder vectors, written in place: item vectors
+                    # never leave the engine (the index and the monitor
+                    # are handed copies).
                     with maybe_span("encoder"):
                         warm_features = self._profile_features(stale)
                         warm_features.update(self.store.feature_columns(stale))
@@ -288,13 +308,18 @@ class RealTimeEngine:
 
         with maybe_span("engine.score"):
             if full:
-                self._scores = self.predictor.score_item_vectors(item_vectors)
+                self._score_rows = RowBuffer(
+                    self.predictor.score_item_vectors(item_vectors)
+                )
             elif stale.size:
-                scores = self._scores.copy()
-                scores[stale] = self.predictor.score_item_vectors(
+                # Copy-on-write: callers hold arrays returned by earlier
+                # scores() calls, which must not change.  The copy keeps
+                # the spare capacity, so arrivals still append in place.
+                scores = self._score_rows.copy()
+                scores.rows[stale] = self.predictor.score_item_vectors(
                     item_vectors[stale]
                 )
-                self._scores = scores
+                self._score_rows = scores
         # Index maintenance: a full pass rebuilds; a dirty-slot pass
         # updates the touched rows in place (no rebuild, no global
         # re-ranking) and the cached top-k order is dropped only when
@@ -310,7 +335,7 @@ class RealTimeEngine:
         if full or stale.size:
             self._order = None
             self._order_k = 0
-        self._item_vectors = item_vectors
+        self._item_rows = items
         self._dirty.clear()
         self._fresh = True
         self._refreshes += 1
@@ -401,6 +426,11 @@ class RealTimeEngine:
         MIPS index**, so the items are retrievable by ``top_k`` /
         ``recommend_for_user`` immediately — no full refresh required.
 
+        Every layer grows in place, so a batch costs O(batch) amortised
+        whatever the catalogue size.  The call is all-or-nothing: the new
+        items are scored before anything is appended, so a batch the model
+        rejects leaves the engine as it was.
+
         ``arrivals`` must carry every item-profile column; statistic
         columns are ignored (new items are cold by definition).
         """
@@ -414,41 +444,38 @@ class RealTimeEngine:
             missing = [name for name in profile_names if name not in arrivals]
             if missing:
                 raise KeyError(f"missing item profile columns: {missing}")
-            start_slot = len(self.catalogue)
-            merged = {}
-            for name, column in self.catalogue.columns.items():
-                extra = (
-                    np.asarray(arrivals[name])
+            rows = {
+                name: (
+                    np.asarray(arrivals[name]).astype(column.rows.dtype, copy=False)
                     if name in arrivals
-                    else np.zeros(n_new, dtype=column.dtype)
+                    else np.zeros(n_new, dtype=column.rows.dtype)
                 )
-                merged[name] = np.concatenate(
-                    [column, extra.astype(column.dtype, copy=False)]
-                )
-            self.catalogue = FeatureTable(merged)
-            self.store.grow(n_new)
-            slots = np.arange(start_slot, start_slot + n_new)
-            if self._generator_vectors is not None:
+                for name, column in self._columns.items()
+            }
+            start_slot = len(self.catalogue)
+            live = self._generator_rows is not None
+            if live:
                 # Live engine: score + index the new slots right away.
-                vectors = self._generator_vectors_for(slots)
-                self._generator_vectors = np.concatenate(
-                    [self._generator_vectors, vectors]
+                vectors = self._generator_vectors_for(
+                    {name: rows[name] for name in profile_names}
                 )
-                self._item_vectors = np.concatenate(
-                    [self._item_vectors, vectors]
-                )
-                self._scores = np.concatenate(
-                    [
-                        self._scores,
-                        self.predictor.score_item_vectors(vectors),
-                    ]
-                )
+                scores = self.predictor.score_item_vectors(vectors)
                 assigned = self._index.add(vectors)
                 if assigned[0] != start_slot:  # pragma: no cover - invariant
                     raise RuntimeError(
                         "index ids drifted from catalogue slots: "
                         f"{assigned[0]} != {start_slot}"
                     )
+            for name, column in self._columns.items():
+                column.append(rows[name])
+            self.catalogue = FeatureTable(
+                {name: column.rows for name, column in self._columns.items()}
+            )
+            self.store.grow(n_new)
+            if live:
+                self._generator_rows.append(vectors)
+                self._item_rows.append(vectors)
+                self._score_rows.append(scores)
                 # New items can enter the top-k: the cached order is stale.
                 self._order = None
                 self._order_k = 0
@@ -462,7 +489,7 @@ class RealTimeEngine:
                 monitor.attach_catalogue(
                     len(self.catalogue), self.config.warm_view_threshold
                 )
-            return slots
+            return np.arange(start_slot, start_slot + n_new)
 
     def recommend_for_user(
         self, user_features: Dict[str, np.ndarray], k: int

@@ -22,6 +22,7 @@ from repro.serving.events import (
     EventKind,
     event_columns,
 )
+from repro.utils.growth import reserve
 
 __all__ = ["ItemCounters", "ItemStatisticsStore"]
 
@@ -88,8 +89,12 @@ class ItemStatisticsStore:
             raise ValueError(f"n_slots must be positive, got {n_slots}")
         self.n_slots = n_slots
         # One row per event kind (KIND_CODES order), one column per slot.
-        self._counts = np.zeros((len(EventKind.ALL), n_slots), dtype=np.int64)
-        self._unique_users = np.zeros(n_slots, dtype=np.int64)
+        # Both counters live in capacity-doubling buffers; the attributes
+        # without ``_buffer`` are their live ``[..., :n_slots]`` views.
+        self._count_buffer = np.zeros((len(EventKind.ALL), n_slots), dtype=np.int64)
+        self._user_buffer = np.zeros(n_slots, dtype=np.int64)
+        self._counts = self._count_buffer
+        self._unique_users = self._user_buffer
         self._seen_pairs = np.empty(0, dtype=np.int64)  # sorted packed keys
 
     def grow(self, n_new: int) -> int:
@@ -97,17 +102,19 @@ class ItemStatisticsStore:
 
         Supports the engine's new-arrival path: freshly added catalogue
         slots start cold (all counters zero) and warm up through normal
-        ingestion.  Returns the new slot count.
+        ingestion.  Costs O(``n_new``) amortised: the counters grow in
+        place into spare capacity.  Returns the new slot count.
         """
         if n_new < 1:
             raise ValueError(f"n_new must be >= 1, got {n_new}")
-        self._counts = np.hstack(
-            [self._counts, np.zeros((self._counts.shape[0], n_new), dtype=np.int64)]
-        )
-        self._unique_users = np.concatenate(
-            [self._unique_users, np.zeros(n_new, dtype=np.int64)]
-        )
-        self.n_slots += n_new
+        start, stop = self.n_slots, self.n_slots + n_new
+        self._count_buffer = reserve(self._count_buffer, start, stop, axis=1)
+        self._count_buffer[:, start:stop] = 0
+        self._counts = self._count_buffer[:, :stop]
+        self._user_buffer = reserve(self._user_buffer, start, stop)
+        self._user_buffer[start:stop] = 0
+        self._unique_users = self._user_buffer[:stop]
+        self.n_slots = stop
         return self.n_slots
 
     # ------------------------------------------------------------------

@@ -474,3 +474,137 @@ class TestAddArrivals:
     def test_store_grow_validation(self):
         with pytest.raises(ValueError):
             ItemStatisticsStore(3).grow(0)
+
+
+class TestArrivalGrowth:
+    """add_arrivals grows every layer in place and is all-or-nothing."""
+
+    def _arrivals(self, world, rows):
+        names = world.schema.all_column_names("item_profile")
+        return type(world.new_items)(
+            {name: world.items[name][rows] for name in names}
+        )
+
+    def _traffic(self, slots, views, rng):
+        """``views`` views per slot from a few users, with some clicks."""
+        events = []
+        for slot in slots:
+            for view in range(views):
+                user = int(rng.integers(0, 50))
+                events.append(Event(EventKind.VIEW, int(slot), user, 0.0))
+                if view % 3 == 0:
+                    events.append(Event(EventKind.CLICK, int(slot), user, 0.0))
+        return events
+
+    def test_failed_batch_leaves_engine_unchanged(
+        self, engine, tiny_tmall_world
+    ):
+        engine.refresh()
+        n = len(engine.catalogue)
+        bad = self._arrivals(tiny_tmall_world, np.arange(10))
+        bad.columns["item_category"] = np.full(10, 10_000)  # out of vocabulary
+        with pytest.raises(IndexError):
+            engine.add_arrivals(bad)
+        assert len(engine.catalogue) == n
+        assert all(len(column) == n for column in engine.catalogue.columns.values())
+        assert engine.store.n_slots == n
+        assert engine.last_scores.shape == (n,)
+        assert len(engine.index) == n
+        slots = engine.add_arrivals(
+            self._arrivals(tiny_tmall_world, np.arange(10))
+        )
+        np.testing.assert_array_equal(slots, np.arange(n, n + 10))
+        assert len(engine.index) == len(engine.catalogue) == n + 10
+        assert engine.scores().shape == (n + 10,)
+
+    def test_results_handed_out_never_change(
+        self, engine, tiny_tmall_world, rng
+    ):
+        held = []
+
+        def hold(array):
+            held.append((array, array.copy()))
+
+        hold(engine.scores())
+        hold(engine.catalogue["item_category"])
+        engine.add_arrivals(self._arrivals(tiny_tmall_world, np.arange(20)))
+        hold(engine.scores())
+        hold(engine.catalogue["item_brand"])
+        # A second batch appends in place into the same buffers ...
+        engine.add_arrivals(self._arrivals(tiny_tmall_world, np.arange(20, 25)))
+        hold(engine.last_scores)
+        # ... and a dirty-slot refresh re-scores warm slots.
+        engine.ingest(self._traffic([3, len(engine.catalogue) - 1], 12, rng))
+        rescored = engine.refresh()
+        assert not np.array_equal(rescored, held[-1][1])
+        for array, snapshot in held:
+            np.testing.assert_array_equal(array, snapshot)
+
+    def test_batch_within_capacity_does_not_reallocate(
+        self, engine, tiny_tmall_world
+    ):
+        engine.refresh()
+        engine.add_arrivals(self._arrivals(tiny_tmall_world, np.arange(8)))
+        column = engine.catalogue["item_seller"]
+        counts = engine.store._counts
+        users = engine.store._unique_users
+        scores = engine.last_scores
+        engine.add_arrivals(self._arrivals(tiny_tmall_world, np.arange(8, 16)))
+        assert np.shares_memory(column, engine.catalogue["item_seller"])
+        assert np.shares_memory(counts, engine.store._counts)
+        assert np.shares_memory(users, engine.store._unique_users)
+        assert np.shares_memory(scores, engine.last_scores)
+
+    def test_grown_engine_equals_engine_built_on_concatenated_catalogue(
+        self, engine, tiny_tmall_world, serving_model, rng
+    ):
+        world = tiny_tmall_world
+        batches = [np.arange(0, 40), np.arange(40, 45), np.arange(45, 200)]
+        events = []
+        engine.refresh()
+        for rows in batches:
+            slots = engine.add_arrivals(self._arrivals(world, rows))
+            batch_events = self._traffic(
+                np.concatenate([slots[:3], [0, 7]]), 6, rng
+            )
+            engine.ingest(batch_events)
+            engine.refresh()
+            events += batch_events
+            # The index rows track the engine's item vectors exactly.
+            np.testing.assert_array_equal(
+                engine.index.vectors, engine._item_vectors
+            )
+        names = list(engine.catalogue.columns)
+        arrivals = [self._arrivals(world, rows) for rows in batches]
+        concatenated = type(world.new_items)({
+            name: np.concatenate(
+                [world.new_items[name]]
+                + [
+                    table[name] if name in table
+                    else np.zeros(len(table), world.new_items[name].dtype)
+                    for table in arrivals
+                ]
+            )
+            for name in names
+        })
+        reference = RealTimeEngine(
+            serving_model,
+            concatenated,
+            world.active_user_group(0.2),
+            EngineConfig(warm_view_threshold=5),
+        )
+        reference.ingest(events)
+        for name in names:
+            np.testing.assert_array_equal(
+                engine.catalogue[name], reference.catalogue[name]
+            )
+        np.testing.assert_array_equal(engine.store._counts, reference.store._counts)
+        np.testing.assert_array_equal(
+            engine.store._unique_users, reference.store._unique_users
+        )
+        np.testing.assert_array_equal(
+            engine.refresh(full=True), reference.scores()
+        )
+        np.testing.assert_array_equal(
+            engine.index.vectors, reference.index.vectors
+        )

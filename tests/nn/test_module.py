@@ -59,6 +59,20 @@ class TestModes:
         assert block.training
         assert block.child.training
 
+    def test_mode_reaches_nested_dropout(self):
+        from repro.nn.layers import Dropout
+
+        outer = Module()
+        outer.inner = Module()
+        outer.inner.drop = Dropout(0.5, rng=np.random.default_rng(0))
+        x = Tensor(np.ones((4, 8)))
+        outer.eval()
+        assert not outer.inner.drop.training
+        np.testing.assert_array_equal(outer.inner.drop(x).data, x.data)
+        outer.train()
+        assert outer.inner.training and outer.inner.drop.training
+        assert (outer.inner.drop(x).data == 0).any()
+
     def test_zero_grad_clears_all(self):
         block = _Block()
         out = block(Tensor(np.ones((1, 2))))

@@ -129,6 +129,19 @@ class TestIncrementalInserts:
         assert ivf.trained
         assert ivf.partition_sizes.sum() == 72
 
+    def test_crossing_train_floor_starts_the_repartition_cooldown(self, rng):
+        """Graduating to a trained quantizer is a build: a skewed insert
+        under 10% of it right afterwards must not repartition."""
+        ivf = IVFIndex(
+            2, nlist=32, nprobe=32, imbalance_factor=2.0, train_floor=400, seed=0
+        )
+        ivf.add(rng.normal(size=(300, 2)))
+        ivf.add(rng.normal(size=(100, 2)))
+        assert ivf.trained
+        ivf.add(0.01 * rng.normal(size=(39, 2)) + 50.0)
+        assert ivf.imbalance() > 2.0
+        assert ivf.repartitions == 0
+
     def test_update_migrates_partitions(self, rng):
         data = _clustered(rng, 500, 6)
         ivf = IVFIndex(6, nlist=8, nprobe=1, seed=0)
