@@ -4,7 +4,9 @@ Measures the partitioned IVF index against the brute-force oracle on
 gaussian-mixture corpora (the shape two-tower item embeddings take):
 
 * recall@k vs ``nprobe`` curves, per corpus size;
-* build and incremental-insert throughput;
+* build and incremental-insert throughput, each with the number of
+  quantizer repartitions it ran (the insert arm must run none, or it
+  times a k-means instead of an insert);
 * single-query top-k latency (p50/p99) for both indexes, and the
   brute-vs-IVF speedup at the *serving* ``nprobe`` — the smallest probe
   count on the curve whose recall clears the floor.
@@ -15,7 +17,8 @@ Run from the repository root::
 
 The regression check compares dimensionless quantities (recall and the
 speedup *ratio* measured in the same run), so a committed baseline stays
-meaningful across machines::
+meaningful across machines, and fails outright when the insert arm
+repartitioned::
 
     PYTHONPATH=src python benchmarks/test_mips_index.py --preset smoke \
         --baseline benchmarks/results/BENCH_retrieval_smoke.json \
@@ -132,6 +135,7 @@ def _bench_size(n, config, seed):
     start = time.perf_counter()
     ivf.rebuild(data)
     ivf_build = time.perf_counter() - start
+    build_repartitions = ivf.repartitions
     print(
         f"[mips-bench]   build: brute {brute_build:.2f}s, "
         f"ivf {ivf_build:.2f}s (nlist={nlist})"
@@ -183,6 +187,7 @@ def _bench_size(n, config, seed):
     ivf.add(extra)
     insert_seconds = time.perf_counter() - start
     assert len(ivf) == n + config["insert_batch"]
+    insert_repartitions = ivf.repartitions - build_repartitions
 
     return {
         "n": int(n),
@@ -193,6 +198,7 @@ def _bench_size(n, config, seed):
             "brute_seconds": float(brute_build),
             "ivf_seconds": float(ivf_build),
             "ivf_vectors_per_second": float(n / ivf_build),
+            "repartitions": int(build_repartitions),
         },
         "insert": {
             "batch": int(config["insert_batch"]),
@@ -200,6 +206,7 @@ def _bench_size(n, config, seed):
             "vectors_per_second": float(
                 config["insert_batch"] / insert_seconds
             ),
+            "repartitions": int(insert_repartitions),
         },
         "recall_curve": curve,
         "latency": {
@@ -245,6 +252,8 @@ def check_regression(
     the baseline: recall@k at the serving nprobe may drop at most
     ``recall_slack`` absolute, and the brute-vs-IVF p50 speedup at most a
     ``max_regression`` factor (ratio comparison, robust to runner speed).
+    Any corpus whose insert arm repartitioned fails: its insert figure
+    timed a quantizer retrain, not an insert.
     """
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     measured = report["sizes"][-1]
@@ -257,6 +266,13 @@ def check_regression(
         )
         return False
     ok = True
+    for size in report["sizes"]:
+        if size["insert"]["repartitions"]:
+            print(
+                f"[mips-bench] FAIL: n={size['n']} insert arm ran "
+                f"{size['insert']['repartitions']} repartition(s)"
+            )
+            ok = False
     recall_floor = reference["recall_at_serving_nprobe"] - recall_slack
     if measured["recall_at_serving_nprobe"] < recall_floor:
         print(
@@ -297,6 +313,7 @@ def test_mips_bench_smoke(save_report):
     )
     assert largest["recall_at_serving_nprobe"] >= report["recall_floor"]
     assert largest["latency"]["speedup_p50"] > 1.0
+    assert largest["insert"]["repartitions"] == 0
 
 
 def main(argv=None) -> int:

@@ -48,45 +48,41 @@ class KMeansResult:
             raise ValueError(
                 f"points must be (n, {self.centroids.shape[1]}), got {points.shape}"
             )
-        distances = _pairwise_sq_distances(points, self.centroids)
-        return distances.argmin(axis=1)
+        return _affinity(points, self.centroids).argmax(axis=1)
 
 
-def _pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of ``a`` and rows of ``b``.
-
-    Clamped at zero: the expansion ``|a|^2 - 2ab + |b|^2`` can go slightly
-    negative through floating-point cancellation for coincident points.
-    """
-    distances = (
-        (a ** 2).sum(axis=1)[:, None]
-        - 2.0 * a @ b.T
-        + (b ** 2).sum(axis=1)[None, :]
-    )
-    return np.maximum(distances, 0.0)
+def _affinity(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``x·c - |c|^2/2``: ``|x - c|^2 = |x|^2 - 2 * affinity``, one GEMM."""
+    affinity = points @ centroids.T
+    affinity -= 0.5 * (centroids ** 2).sum(axis=1)
+    return affinity
 
 
 def _kmeans_pp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids proportionally to D^2."""
+    """k-means++ seeding: spread initial centroids proportionally to D^2.
+
+    D^2 = ``|x|^2 - 2x·c + |c|^2`` (cached norms, one matrix-vector product
+    per centroid), clamped at zero against cancellation for coincident points.
+    """
+    def sq_distances(centroid: np.ndarray) -> np.ndarray:
+        distance = sq_norms - 2.0 * (points @ centroid)
+        distance += (centroid ** 2).sum()
+        return np.maximum(distance, 0.0, out=distance)
+
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(0, n)]
-    closest = _pairwise_sq_distances(points, centroids[:1]).reshape(-1)
+    closest = sq_distances(centroids[0])
     for index in range(1, k):
         total = closest.sum()
         if total <= 0:
             # All points coincide with chosen centroids; fill uniformly.
             centroids[index:] = points[rng.integers(0, n, size=k - index)]
             break
-        probabilities = closest / total
-        choice = rng.choice(n, p=probabilities)
-        centroids[index] = points[choice]
-        new_distance = _pairwise_sq_distances(
-            points, centroids[index : index + 1]
-        ).reshape(-1)
-        closest = np.minimum(closest, new_distance)
+        centroids[index] = points[rng.choice(n, p=closest / total)]
+        np.minimum(closest, sq_distances(centroids[index]), out=closest)
     return centroids
 
 
@@ -102,7 +98,7 @@ def kmeans(
     Parameters
     ----------
     points:
-        ``(n, dim)`` float matrix.
+        ``(n, dim)`` finite float matrix.
     k:
         Number of clusters (``1 <= k <= n``).
     rng:
@@ -120,30 +116,36 @@ def kmeans(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    non_finite = int(n - np.isfinite(points).all(axis=1).sum())
+    if non_finite:
+        raise ValueError(f"points contain {non_finite} non-finite row(s) of {n}")
     rng = rng if rng is not None else np.random.default_rng()
 
-    centroids = _kmeans_pp_init(points, k, rng)
-    assignments = np.zeros(n, dtype=np.int64)
+    sq_norms = (points ** 2).sum(axis=1)
+    centroids = _kmeans_pp_init(points, sq_norms, k, rng)
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        distances = _pairwise_sq_distances(points, centroids)
-        assignments = distances.argmin(axis=1)
+        assignments = _affinity(points, centroids).argmax(axis=1)
+        # Stable: each cluster's rows stay in input order, so every mean
+        # sums the same rows in the same order as a boolean mask would.
+        order = np.argsort(assignments, kind="stable")
+        bounds = np.searchsorted(assignments[order], np.arange(k + 1))
         new_centroids = centroids.copy()
-        for cluster in range(k):
-            members = points[assignments == cluster]
-            if members.size:
-                new_centroids[cluster] = members.mean(axis=0)
+        for cluster in np.flatnonzero(np.diff(bounds)):
+            members = order[bounds[cluster] : bounds[cluster + 1]]
+            new_centroids[cluster] = points[members].mean(axis=0)
         movement = float(np.abs(new_centroids - centroids).sum())
         centroids = new_centroids
         if movement < tolerance:
             break
 
-    distances = _pairwise_sq_distances(points, centroids)
-    assignments = distances.argmin(axis=1)
-    inertia = float(distances[np.arange(n), assignments].sum())
+    affinity = _affinity(points, centroids)
+    assignments = affinity.argmax(axis=1)
+    distances = sq_norms - 2.0 * affinity[np.arange(n), assignments]
+    inertia = float(np.maximum(distances, 0.0).sum())
     return KMeansResult(
         centroids=centroids,
         assignments=assignments,
-        inertia=max(inertia, 0.0),
+        inertia=inertia,
         n_iterations=iteration,
     )

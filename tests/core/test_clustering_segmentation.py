@@ -6,6 +6,65 @@ import pytest
 from repro.core import ATNN, SegmentedPopularityPredictor, TowerConfig, kmeans
 
 
+def _reference_sq_distances(a, b):
+    """The expansion ``|a|^2 - 2ab + |b|^2`` recomputed per call, clamped at 0."""
+    distances = (
+        (a ** 2).sum(axis=1)[:, None]
+        - 2.0 * a @ b.T
+        + (b ** 2).sum(axis=1)[None, :]
+    )
+    return np.maximum(distances, 0.0)
+
+
+def _reference_kmeans(points, k, rng, max_iterations=100, tolerance=1e-6):
+    """Textbook k-means++ and Lloyd: full distance matrices, masked means.
+
+    The straightforward formulation ``kmeans`` must reproduce: same RNG
+    draws, same float64 arithmetic, one boolean mask per cluster.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(0, n)]
+    closest = _reference_sq_distances(points, centroids[:1]).reshape(-1)
+    for index in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centroids[index:] = points[rng.integers(0, n, size=k - index)]
+            break
+        choice = rng.choice(n, p=closest / total)
+        centroids[index] = points[choice]
+        new_distance = _reference_sq_distances(
+            points, centroids[index : index + 1]
+        ).reshape(-1)
+        closest = np.minimum(closest, new_distance)
+
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        assignments = _reference_sq_distances(points, centroids).argmin(axis=1)
+        new_centroids = centroids.copy()
+        for cluster in range(k):
+            members = points[assignments == cluster]
+            if members.size:
+                new_centroids[cluster] = members.mean(axis=0)
+        movement = float(np.abs(new_centroids - centroids).sum())
+        centroids = new_centroids
+        if movement < tolerance:
+            break
+
+    distances = _reference_sq_distances(points, centroids)
+    assignments = distances.argmin(axis=1)
+    inertia = float(distances[np.arange(n), assignments].sum())
+    return centroids, assignments, max(inertia, 0.0), iteration
+
+
+def _clustered(seed, n, dim, n_clusters, spread=0.3, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(0.0, 3.0, size=(n_clusters, dim))
+    labels = rng.integers(0, n_clusters, size=n)
+    return (centres[labels] + rng.normal(0.0, spread, size=(n, dim))).astype(dtype)
+
+
 class TestKMeans:
     def test_recovers_separated_clusters(self, rng):
         centres = np.array([[0.0, 0.0], [10.0, 10.0], [-10.0, 10.0]])
@@ -74,6 +133,67 @@ class TestKMeans:
         a = kmeans(points, 3, rng=np.random.default_rng(7))
         b = kmeans(points, 3, rng=np.random.default_rng(7))
         np.testing.assert_allclose(a.centroids, b.centroids)
+
+
+    def test_predict_matches_fit_assignments(self, rng):
+        points = _clustered(3, 400, 6, 8)
+        result = kmeans(points, 8, rng=rng)
+        np.testing.assert_array_equal(result.predict(points), result.assignments)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, rng, bad):
+        points = rng.normal(size=(30, 4))
+        points[11, 2] = bad
+        with pytest.raises(ValueError, match="1 non-finite row"):
+            kmeans(points, 3, rng=rng)
+
+
+class TestKMeansParity:
+    """``kmeans`` reproduces the textbook formulation: same seeds, same
+    assignments and iteration count, bit-identical centroids."""
+
+    @staticmethod
+    def _assert_parity(points, k, seed, **kwargs):
+        result = kmeans(points, k, rng=np.random.default_rng(seed), **kwargs)
+        centroids, assignments, inertia, n_iterations = _reference_kmeans(
+            points, k, np.random.default_rng(seed), **kwargs
+        )
+        np.testing.assert_array_equal(result.assignments, assignments)
+        assert result.n_iterations == n_iterations
+        # Each mean sums the same rows in the same order: exact, no tolerance.
+        np.testing.assert_array_equal(result.centroids, centroids)
+        assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12)
+        return result
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_clustered_data(self, seed):
+        points = _clustered(seed, 1500, 16, 12)
+        self._assert_parity(points, 20, seed, max_iterations=15)
+
+    def test_float32_input_converged(self):
+        points = _clustered(9, 800, 8, 5, dtype=np.float32)
+        result = self._assert_parity(points, 5, 9)
+        assert result.n_iterations < 100
+
+    def test_k_equals_one(self):
+        self._assert_parity(_clustered(5, 200, 3, 4), 1, 5)
+
+    def test_k_equals_n(self):
+        self._assert_parity(_clustered(6, 40, 3, 4), 40, 6)
+
+    def test_all_duplicate_points_fill_branch(self):
+        points = np.tile([1.5, -2.0, 0.25], (25, 1))
+        result = self._assert_parity(points, 4, 7)
+        assert result.inertia == 0.0
+
+    def test_empty_cluster_keeps_its_centroid(self):
+        # Two distinct locations and k=4: seeding exhausts D^2 after two
+        # picks and fills the rest with duplicates of chosen points, so
+        # duplicate centroids leave clusters empty in every Lloyd pass.
+        points = np.repeat([[0.0, 0.0], [5.0, 1.0]], 30, axis=0)
+        result = self._assert_parity(points, 4, 8)
+        counts = np.bincount(result.assignments, minlength=4)
+        assert (counts == 0).any()
 
 
 class TestSegmentedPredictor:

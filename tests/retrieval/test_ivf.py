@@ -267,3 +267,11 @@ class TestValidation:
     def test_empty_index_rejects_search(self, rng):
         with pytest.raises(ValueError):
             IVFIndex(4).search(rng.normal(size=4), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rebuild_rejects_non_finite_rows(self, rng, bad):
+        data = _clustered(rng, 200, 6)
+        data[42, 3] = bad
+        ivf = IVFIndex(6, nlist=8, seed=0)
+        with pytest.raises(ValueError, match="1 non-finite row"):
+            ivf.rebuild(data)
