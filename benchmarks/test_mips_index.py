@@ -80,9 +80,16 @@ PRESETS = {
 DTYPE = np.float32
 
 
-def _mixture(rng, n, dim, n_clusters, spread):
-    """Gaussian-mixture vectors, generated blockwise to bound temporaries."""
-    centers = rng.normal(size=(n_clusters, dim)).astype(DTYPE)
+def _mixture(rng, n, centers, spread):
+    """Vectors of the gaussian mixture around ``centers``, generated
+    blockwise to bound temporaries.
+
+    The corpus, the queries and the insert batch of one corpus share one
+    set of centres: queries and inserts then come from the distribution
+    the index was built on, so the insert arm times inserts, not the
+    repartition an off-mixture batch would trigger.
+    """
+    n_clusters, dim = centers.shape
     out = np.empty((n, dim), dtype=DTYPE)
     for start in range(0, n, 131_072):
         stop = min(start + 131_072, n)
@@ -113,10 +120,10 @@ def _bench_size(n, config, seed):
     rng = np.random.default_rng(seed)
     dim, k = config["dim"], config["k"]
     print(f"[mips-bench] corpus n={n} dim={dim} (generating) ...")
-    data = _mixture(rng, n, dim, config["clusters"], config["spread"])
-    queries = _mixture(
-        rng, config["queries"], dim, config["clusters"], config["spread"]
-    )
+    centers = rng.normal(size=(config["clusters"], dim)).astype(DTYPE)
+    spread = config["spread"]
+    data = _mixture(rng, n, centers, spread)
+    queries = _mixture(rng, config["queries"], centers, spread)
 
     start = time.perf_counter()
     brute = BruteForceIndex(dim, dtype=DTYPE)
@@ -180,9 +187,7 @@ def _bench_size(n, config, seed):
         f"({speedup:.1f}x)"
     )
 
-    extra = _mixture(
-        rng, config["insert_batch"], dim, config["clusters"], config["spread"]
-    )
+    extra = _mixture(rng, config["insert_batch"], centers, spread)
     start = time.perf_counter()
     ivf.add(extra)
     insert_seconds = time.perf_counter() - start

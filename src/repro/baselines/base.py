@@ -20,7 +20,7 @@ from repro.data.schema import FeatureSchema
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Module
 from repro.nn.optim import FTRL, Adam
-from repro.nn.tensor import Tensor, get_default_dtype, no_grad
+from repro.nn.tensor import Tensor, no_grad
 
 __all__ = ["FlatCTRModel"]
 
@@ -52,7 +52,8 @@ class FlatCTRModel(Module):
 
     # ------------------------------------------------------------------
     def _numeric_matrix(self, features: Dict[str, np.ndarray]) -> np.ndarray:
-        dtype = get_default_dtype()
+        """Numeric columns as one matrix in the parameters' dtype."""
+        dtype = self.parameters()[0].data.dtype
         if not self.numeric_names:
             n = len(next(iter(features.values())))
             return np.zeros((n, 0), dtype=dtype)

@@ -74,7 +74,7 @@ class FactorizationMachine(FlatCTRModel):
             fields.append(table(features[feature.name]))
         numeric = self._numeric_matrix(features)
         for column in range(numeric.shape[1]):
-            value = Tensor(numeric[:, column : column + 1])
+            value = Tensor(numeric[:, column : column + 1], dtype=numeric.dtype)
             fields.append(value * self.numeric_factors[column : column + 1])
         return fields
 

@@ -53,7 +53,9 @@ class LogisticRegressionCTR(FlatCTRModel):
             total = contribution if total is None else total + contribution
         numeric = self._numeric_matrix(features)
         if numeric.shape[1]:
-            numeric_term = (Tensor(numeric) @ self.numeric_weight).reshape(-1)
+            numeric_term = (
+                Tensor(numeric, dtype=numeric.dtype) @ self.numeric_weight
+            ).reshape(-1)
             total = numeric_term if total is None else total + numeric_term
         if total is None:
             raise ValueError("model has no input features")

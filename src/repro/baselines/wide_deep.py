@@ -65,7 +65,7 @@ class WideAndDeep(FlatCTRModel):
             parts.append(self.embeddings(features))
         numeric = self._numeric_matrix(features)
         if numeric.shape[1]:
-            parts.append(Tensor(numeric))
+            parts.append(Tensor(numeric, dtype=numeric.dtype))
         joined = parts[0] if len(parts) == 1 else concat(parts, axis=-1)
         return self.deep(joined).reshape(-1)
 

@@ -150,7 +150,7 @@ class PopularityPredictor:
                 "exact scoring needs fit_user_group(keep_individual=True)"
             )
         item_vectors = self._encode_items(items)
-        scores = np.empty(item_vectors.shape[0])
+        scores = np.empty(item_vectors.shape[0], dtype=item_vectors.dtype)
         for index in range(item_vectors.shape[0]):
             pairwise = self._head_scores(
                 np.broadcast_to(

@@ -22,7 +22,7 @@ from repro.data.schema import (
 )
 from repro.nn.layers import MLP, FeatureEmbeddings
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, get_default_dtype, no_grad
+from repro.nn.tensor import Tensor, concat, no_grad
 
 __all__ = ["StandardDNN"]
 
@@ -74,13 +74,11 @@ class StandardDNN(Module):
             missing = [n for n in self.numeric_names if n not in features]
             if missing:
                 raise KeyError(f"missing numeric features: {missing}")
+            dtype = self.mlp.layers[0].weight.data.dtype
             numeric = np.column_stack(
-                [
-                    np.asarray(features[n], dtype=get_default_dtype())
-                    for n in self.numeric_names
-                ]
+                [np.asarray(features[n], dtype=dtype) for n in self.numeric_names]
             )
-            parts.append(Tensor(numeric))
+            parts.append(Tensor(numeric, dtype=dtype))
         joined = parts[0] if len(parts) == 1 else concat(parts, axis=-1)
         return self.mlp(joined).reshape(-1)
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.data.schema import FeatureSchema
 from repro.nn.layers import DCN, MLP, EmbeddingBag, FeatureEmbeddings
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, get_default_dtype
+from repro.nn.tensor import Tensor, concat
 
 __all__ = ["TowerConfig", "Tower"]
 
@@ -178,14 +178,14 @@ class Tower(Module):
             missing = [n for n in self.numeric_names if n not in features]
             if missing:
                 raise KeyError(f"missing numeric features: {missing}")
-            # Assemble numerics directly in the engine's compute dtype: a
-            # hard-coded float64 here would silently promote the whole
-            # concatenated input (and one extra astype copy) in f32 mode.
-            dtype = get_default_dtype()
+            # Assemble numerics in the parameters' dtype: any other dtype
+            # would promote the whole concatenated input, and every GEMM
+            # after it, of a float32 model.
+            dtype = self.head.layers[0].weight.data.dtype
             numeric = np.column_stack(
                 [np.asarray(features[name], dtype=dtype) for name in self.numeric_names]
             )
-            parts.append(Tensor(numeric))
+            parts.append(Tensor(numeric, dtype=dtype))
         if len(parts) == 1:
             return parts[0]
         return concat(parts, axis=-1)

@@ -188,8 +188,9 @@ class _BaseTrainer:
         self.early_stopping = early_stopping
         self.callbacks: List[TrainerCallback] = list(callbacks or [])
         # Compute dtype for the whole fit: np.float32 roughly halves the
-        # memory traffic of the numpy kernels.  None keeps the engine-wide
-        # default (float64).
+        # memory traffic of the numpy kernels.  The model's parameters are
+        # cast to it and stay there, so inference after ``fit`` runs in it
+        # too.  None leaves the parameters in the dtype they have.
         self.dtype = np.dtype(dtype) if dtype is not None else None
         self._previous_dtype = None
         self._best_value: Optional[float] = None

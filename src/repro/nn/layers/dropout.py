@@ -38,7 +38,7 @@ class Dropout(Module):
             return x
         keep = 1.0 - self.p
         mask = (self._rng.random(x.shape) < keep) / keep
-        return x * Tensor(mask)
+        return x * mask
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

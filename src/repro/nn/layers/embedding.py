@@ -95,9 +95,9 @@ class EmbeddingBag(Module):
                 f"indices shape {indices.shape} and mask shape {mask.shape} differ"
             )
         vectors = self.embedding(indices)  # (batch, max_len, dim)
-        masked = vectors * Tensor(mask[..., None])
+        masked = vectors * mask[..., None]
         counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        return masked.sum(axis=1) * Tensor(1.0 / counts)
+        return masked.sum(axis=1) * (1.0 / counts)
 
 
 class FeatureEmbeddings(Module):

@@ -78,8 +78,6 @@ class BatchNorm1d(Module):
             )
             normed = centered * (var + self.eps) ** -0.5
         else:
-            centered = x - Tensor(self.running_mean[None, :])
-            normed = centered * Tensor(
-                1.0 / np.sqrt(self.running_var[None, :] + self.eps)
-            )
+            centered = x - self.running_mean[None, :]
+            normed = centered * (1.0 / np.sqrt(self.running_var[None, :] + self.eps))
         return normed * self.gain + self.bias

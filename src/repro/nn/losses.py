@@ -51,7 +51,7 @@ def binary_cross_entropy(predictions: Tensor, targets: np.ndarray) -> Tensor:
     )
     eps = _clip_eps(predictions.data.dtype)
     clipped = predictions.clip(eps, 1.0 - eps)
-    y = Tensor(targets)
+    y = Tensor(targets, dtype=targets.dtype)
     loss = -(y * clipped.log() + (1.0 - y) * (1.0 - clipped).log())
     return loss.mean()
 
@@ -75,7 +75,7 @@ def mean_squared_error(predictions: Tensor, targets: np.ndarray) -> Tensor:
     targets = np.asarray(targets, dtype=predictions.data.dtype).reshape(
         predictions.shape
     )
-    diff = predictions - Tensor(targets)
+    diff = predictions - targets
     return (diff * diff).mean()
 
 
@@ -84,7 +84,7 @@ def mean_absolute_error(predictions: Tensor, targets: np.ndarray) -> Tensor:
     targets = np.asarray(targets, dtype=predictions.data.dtype).reshape(
         predictions.shape
     )
-    return (predictions - Tensor(targets)).abs().mean()
+    return (predictions - targets).abs().mean()
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -93,8 +93,7 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     Uses the max-shift trick; the shift is detached (its gradient is a
     constant offset that cancels in the softmax).
     """
-    shift = Tensor(logits.data.max(axis=axis, keepdims=True))
-    shifted = logits - shift
+    shifted = logits - logits.data.max(axis=axis, keepdims=True)
     log_normaliser = shifted.exp().sum(axis=axis, keepdims=True).log()
     return shifted - log_normaliser
 
@@ -140,7 +139,7 @@ def in_batch_softmax_loss(
                 f"log_sampling_prob must have shape ({user_vectors.shape[0]},), "
                 f"got {correction.shape}"
             )
-        scores = scores - Tensor(correction[None, :])
+        scores = scores - correction[None, :]
     log_probabilities = log_softmax(scores, axis=-1)
     batch_size = user_vectors.shape[0]
     diagonal = log_probabilities[np.arange(batch_size), np.arange(batch_size)]

@@ -186,6 +186,10 @@ class Tensor:
         :meth:`backward`.
     name:
         Optional human-readable label used in error messages and repr.
+    dtype:
+        Storage dtype; ``None`` takes the engine-wide default (see
+        :func:`set_default_dtype`).  Op outputs pass the dtype their
+        kernel produced.
     """
 
     __slots__ = (
@@ -206,8 +210,9 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         name: Optional[str] = None,
+        dtype=None,
     ) -> None:
-        self.data = _as_array(data)
+        self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.name = name
@@ -319,9 +324,13 @@ class Tensor:
         allocated dense buffers (no views of the incoming gradient, no two
         outputs aliasing each other), so the engine may adopt them as
         accumulation buffers and mutate them in place.
+
+        The output adopts ``data`` as the kernel produced it: a float32
+        model computes in float32 whatever the ambient default dtype is.
         """
         needs_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=needs_grad)
+        data = np.asarray(data)
+        out = Tensor(data, requires_grad=needs_grad, dtype=data.dtype)
         if needs_grad:
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
@@ -476,7 +485,10 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def _coerce(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+        """``other`` as a Tensor; a plain operand takes this tensor's dtype."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(other, dtype=self.data.dtype)
 
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._coerce(other)
@@ -636,7 +648,7 @@ class Tensor:
             mask = a.data == expanded
             # Split the gradient across ties to keep the map well-defined.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            return (mask * g / counts,)
+            return (mask * g / counts.astype(g.dtype),)
 
         return Tensor._make(value, (a,), backward)
 
@@ -712,7 +724,7 @@ class Tensor:
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         a = self
         mask = a.data > 0
-        scale = np.where(mask, 1.0, negative_slope)
+        scale = np.where(mask, 1.0, negative_slope).astype(a.data.dtype)
 
         def backward(grad: np.ndarray):
             return (grad * scale,)

@@ -116,7 +116,9 @@ class IVFIndex(MIPSIndex):
         self.kmeans_iterations = int(kmeans_iterations)
         self._rng = np.random.default_rng(seed)
         self.repartitions = 0
+        # Corpus size and imbalance the last build or repartition left.
         self._repartitioned_at = 0
+        self._settled_imbalance = 0.0
         self._reset_storage(n_parts=1)
         # Untrained: one catch-all partition, exact search.
         self._centroids: Optional[np.ndarray] = None
@@ -229,7 +231,7 @@ class IVFIndex(MIPSIndex):
                 vectors, np.arange(vectors.shape[0], dtype=np.int64)
             )
         # A fresh build starts the repartition cooldown, as a repartition does.
-        self._repartitioned_at = self._ntotal
+        self._settle()
 
     def _partition_all(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """Lay out ``vectors`` (keyed by ``ids``) under the current quantizer."""
@@ -340,7 +342,7 @@ class IVFIndex(MIPSIndex):
             with maybe_span("index.build"):
                 self._retrain()
             # Like any build, graduation starts the repartition cooldown.
-            self._repartitioned_at = self._ntotal
+            self._settle()
 
     def imbalance(self) -> float:
         """``max(partition size) / mean(partition size)`` (0 when empty)."""
@@ -349,6 +351,11 @@ class IVFIndex(MIPSIndex):
         mean = self._ntotal / self._part_sizes.size
         return float(self._part_sizes.max() / mean)
 
+    def _settle(self) -> None:
+        """Start the repartition cooldown from the layout just built."""
+        self._repartitioned_at = self._ntotal
+        self._settled_imbalance = self.imbalance()
+
     def _maybe_repartition(self) -> None:
         if (
             self.imbalance_factor is None
@@ -356,12 +363,13 @@ class IVFIndex(MIPSIndex):
             or self._ntotal < max(self.train_floor, self.nlist)
         ):
             return
-        # Cooldown: if the last repartition could not flatten an
-        # intrinsically skewed distribution, don't thrash — wait for the
-        # corpus to grow ~10% before retrying.
+        # Cooldown: wait for the corpus to grow ~10% before retrying.
         if self._ntotal < int(self._repartitioned_at * 1.1):
             return
-        if self.imbalance() > self.imbalance_factor:
+        # A retrain that could not flatten an intrinsically skewed corpus
+        # left imbalance above the factor; retrain again only once the
+        # skew has grown past that level, not on every 10% of growth.
+        if self.imbalance() > max(self.imbalance_factor, self._settled_imbalance):
             self.repartition()
 
     def repartition(self) -> None:
@@ -375,7 +383,7 @@ class IVFIndex(MIPSIndex):
             start = time.perf_counter()
             self._retrain()
             self.repartitions += 1
-            self._repartitioned_at = self._ntotal
+            self._settle()
         registry = get_active_registry()
         if registry is not None:
             registry.counter("index.repartitions").inc()

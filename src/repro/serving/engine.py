@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.atnn import ATNN
 from repro.core.popularity import PopularityPredictor
 from repro.data.dataset import FeatureTable
-from repro.data.schema import GROUP_ITEM_PROFILE, GROUP_ITEM_STAT, GROUP_USER
+from repro.data.schema import GROUP_ITEM_PROFILE, GROUP_USER
 from repro.nn.tensor import no_grad
 from repro.obs.context import request_scope
 from repro.obs.metrics import get_active_registry
@@ -207,10 +207,8 @@ class RealTimeEngine:
         return {name: self.catalogue[name][slots] for name in names}
 
     def _generator_vectors_for(self, features: Dict[str, np.ndarray]) -> np.ndarray:
-        """Generator-path vectors for item profiles (+ zero stats)."""
-        n_items = len(next(iter(features.values())))
-        for name in self.model.schema.numeric_names(GROUP_ITEM_STAT):
-            features[name] = np.zeros(n_items)
+        """Generator-path vectors for item profiles (the generator reads no
+        statistics, so cold and warm slots share them)."""
         was_training = self.model.training
         self.model.eval()
         try:
@@ -276,7 +274,7 @@ class RealTimeEngine:
             with no_grad(), maybe_span("engine.refresh"):
                 warm = self.store.warm_slots(self.config.warm_view_threshold)
                 if full:
-                    # Statistic columns default to zero (cold) ...
+                    # Every slot starts from its generator vector ...
                     generator = self._generator_vectors_for(
                         self._profile_features()
                     )

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import ATNN, TowerConfig
+from repro.core import ATNN, ATNNTrainer, PopularityPredictor, TowerConfig
+from repro.nn.tensor import Tensor, default_dtype, get_default_dtype, no_grad
 from repro.serving import (
     EngineConfig,
     Event,
@@ -608,3 +609,132 @@ class TestArrivalGrowth:
         np.testing.assert_array_equal(
             engine.index.vectors, reference.index.vectors
         )
+
+
+class TestGeneratorVectors:
+    def test_engine_generator_vectors_are_the_generator_path(
+        self, engine, tiny_tmall_world, serving_model
+    ):
+        """Slot vectors come from item profiles alone, bit for bit."""
+        engine.refresh()
+        names = tiny_tmall_world.schema.all_column_names("item_profile")
+        profiles = {name: tiny_tmall_world.new_items[name] for name in names}
+        serving_model.eval()
+        try:
+            with no_grad():
+                expected = serving_model.generated_item_vectors(profiles).data
+        finally:
+            serving_model.train()
+        np.testing.assert_array_equal(engine._generator_vectors, expected)
+
+
+@pytest.fixture(scope="module")
+def float32_model(tiny_tmall_world, tiny_tower_config):
+    """An ATNN trained in float32; ``fit`` restores the float64 default."""
+    model = ATNN(
+        tiny_tmall_world.schema, tiny_tower_config, rng=np.random.default_rng(9)
+    )
+    train = tiny_tmall_world.interactions.subset(np.arange(1024))
+    ATNNTrainer(epochs=1, batch_size=256, dtype=np.float32, seed=9).fit(model, train)
+    assert get_default_dtype() == np.float64
+    return model
+
+
+class TestFloat32ModelServesInFloat32:
+    """Inference after a float32 ``fit`` runs in float32 under the float64
+    default, bit-identical to the same calls under the float32 default."""
+
+    def _rows(self, world, n=300):
+        return {name: column[:n] for name, column in world.interactions.features.items()}
+
+    def _both(self, call):
+        ambient = call()
+        with default_dtype(np.float32):
+            scoped = call()
+        return ambient, scoped
+
+    def test_predictions(self, float32_model, tiny_tmall_world):
+        rows = self._rows(tiny_tmall_world)
+        for predict in (
+            float32_model.predict_proba,
+            float32_model.predict_proba_cold_start,
+        ):
+            ambient, scoped = self._both(lambda: predict(rows, batch_size=128))
+            assert ambient.dtype == np.float32
+            np.testing.assert_array_equal(ambient, scoped)
+
+    def test_popularity_predictor(self, float32_model, tiny_tmall_world):
+        world = tiny_tmall_world
+
+        def score():
+            predictor = PopularityPredictor(float32_model, batch_size=64)
+            predictor.fit_user_group(world.active_user_group(0.2), keep_individual=True)
+            return (
+                predictor.mean_user_vector,
+                predictor.score_items(world.new_items),
+                predictor.score_items_exact(world.new_items),
+            )
+
+        ambient, scoped = self._both(score)
+        for got, expected in zip(ambient, scoped):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("index_kind", ["bruteforce", "ivf"])
+    def test_engine(self, float32_model, tiny_tmall_world, index_kind):
+        world = tiny_tmall_world
+        user = {
+            name: world.users[name][:1]
+            for name in world.schema.all_column_names("user")
+        }
+        events = [Event(EventKind.VIEW, slot % 20, slot, 0.0) for slot in range(200)]
+
+        def serve():
+            engine = RealTimeEngine(
+                float32_model,
+                world.new_items,
+                world.active_user_group(0.2),
+                EngineConfig(
+                    warm_view_threshold=5, index_kind=index_kind, ivf_nlist=4
+                ),
+            )
+            cold = engine.refresh().copy()
+            engine.ingest(events)
+            warm = engine.refresh()
+            return engine, cold, warm, engine.recommend_for_user(user, 5)
+
+        (engine, *ambient), (reference, *scoped) = self._both(serve)
+        assert engine.index.dtype == np.float32
+        for array in (engine._item_vectors, engine._generator_vectors, *ambient[:2]):
+            assert array.dtype == np.float32
+        for got, expected in zip(ambient, scoped):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(engine._item_vectors, reference._item_vectors)
+
+    def test_no_float64_reaches_the_fused_mlp(
+        self, float32_model, tiny_tmall_world, monkeypatch
+    ):
+        seen = []
+        fused = Tensor._fused_mlp
+
+        def spy(x, layers):
+            seen.append(x.dtype)
+            seen.extend(weight.dtype for weight, _, _ in layers)
+            return fused(x, layers)
+
+        monkeypatch.setattr(Tensor, "_fused_mlp", staticmethod(spy))
+        world = tiny_tmall_world
+        rows = self._rows(world, 64)
+        float32_model.predict_proba(rows)
+        float32_model.predict_proba_cold_start(rows)
+        engine = RealTimeEngine(
+            float32_model, world.new_items, world.active_user_group(0.2),
+            EngineConfig(warm_view_threshold=1),
+        )
+        engine.ingest([Event(EventKind.VIEW, 0, 0, 0.0)])
+        engine.refresh()
+        assert seen and set(seen) == {np.dtype(np.float32)}
+
+    def test_float64_model_still_serves_float64(self, engine):
+        assert engine.refresh().dtype == np.float64
+        assert engine.index.dtype == np.float64

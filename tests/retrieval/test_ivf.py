@@ -205,6 +205,35 @@ class TestRepartition:
         assert ivf.imbalance() > 2.0
         assert ivf.repartitions == 0
 
+    def test_retrain_that_cannot_flatten_is_not_repeated(self, rng):
+        """A duplicated off-mixture vector fills one partition that no
+        quantizer can split.  Once a retrain has failed to flatten it,
+        further 10% growth at no worse a skew retrains nothing; a skew
+        that keeps growing past what the retrain left still does."""
+        ivf = IVFIndex(
+            4, nlist=16, nprobe=16, imbalance_factor=4.0, train_floor=16, seed=0
+        )
+        ivf.rebuild(rng.normal(size=(1_000, 4)))
+        spike = np.full(4, 20.0)
+
+        def grow(n_rows, spike_share):
+            n_spike = int(round(n_rows * spike_share))
+            batch = np.vstack(
+                [np.tile(spike, (n_spike, 1)), rng.normal(size=(n_rows - n_spike, 4))]
+            )
+            ivf.add(batch)
+
+        grow(400, 1.0)
+        assert ivf.repartitions == 1
+        left_behind = ivf.imbalance()
+        assert left_behind > 4.0
+        for _ in range(5):
+            grow(int(0.11 * len(ivf)) + 1, 0.27)  # past the 10% cooldown
+            assert 4.0 < ivf.imbalance() <= left_behind
+        assert ivf.repartitions == 1
+        grow(int(0.11 * len(ivf)) + 1, 1.0)
+        assert ivf.repartitions == 2
+
     def test_disabled_maintenance_never_repartitions(self, rng):
         ivf = IVFIndex(
             2, nlist=8, nprobe=8, imbalance_factor=None, train_floor=16, seed=0
